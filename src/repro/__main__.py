@@ -163,13 +163,6 @@ def main(argv=None) -> int:
                              "processes where supported (Dataset A; "
                              "same results as serial, see "
                              "docs/PERFORMANCE.md)")
-    parser.add_argument("--no-replay-cache", action="store_true",
-                        help="disable the session-replay cache "
-                             "(repro.sim.replay), which memoizes "
-                             "repeated query timelines; equivalent to "
-                             "REPRO_REPLAY_CACHE=0.  The cache changes "
-                             "no results, only wall-clock time (see "
-                             "docs/PERFORMANCE.md)")
     parser.add_argument("--tier", default=None,
                         choices=("analytic", "packet", "auto"),
                         help="campaign execution tier (repro.sim."
@@ -207,8 +200,6 @@ def main(argv=None) -> int:
         # Plumbed via the environment so every runner (and the worker
         # processes of --jobs) sees it without new signatures.
         os.environ["REPRO_CAMPAIGN_SHARDS"] = str(args.shards)
-    if args.no_replay_cache:
-        os.environ["REPRO_REPLAY_CACHE"] = "0"
     if args.tier is not None:
         # Plumbed via the environment so drivers and campaign shards
         # pick it up without new signatures on every runner.

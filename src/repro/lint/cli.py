@@ -230,7 +230,7 @@ def _emit_effects(runner: LintRunner) -> int:
         return 2
     if not replication_roots(project):
         print("simlint: --emit-effects found no replication root "
-              "(_replay/_materialize under a replay/analytic path) in "
+              "(_replay under a replay/analytic path) in "
               "the linted file set", file=sys.stderr)
         return 2
     analysis = shared_effects(project)

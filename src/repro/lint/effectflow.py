@@ -96,9 +96,9 @@ EFFECT_METHODS = ("inject",)
 SHARED_DRAWS = ("get", "uniform", "lognormal", "bernoulli",
                 "expovariate", "choice")
 
-#: Function names that mark a fast-path replication root when defined
-#: in a module under a ``replay``/``analytic`` path.
-ROOT_NAMES = ("_replay", "_materialize")
+#: Function name that marks the fast-path replication root when
+#: defined in a module under a ``replay``/``analytic`` path.
+ROOT_NAME = "_replay"
 ROOT_SEGMENTS = ("replay", "analytic")
 
 
@@ -138,19 +138,18 @@ def is_session_module(facts: ModuleFacts) -> bool:
 def replication_roots(project: ProjectContext) -> List[str]:
     """Qualnames of the fast-path replication entry points.
 
-    A root is a function named ``_replay`` or ``_materialize`` defined
-    in a module whose path crosses a ``replay`` or ``analytic``
-    directory — :meth:`SessionReplayManager._replay
-    <repro.sim.replay.manager.SessionReplayManager>` and
-    :meth:`TieredSessionManager._materialize
-    <repro.sim.analytic.manager.TieredSessionManager>` on the real
-    tree.  Everything such a root can reach (its effect closure) is
-    what the fast path replicates.
+    A root is a function named ``_replay`` defined in a module whose
+    path crosses a ``replay`` or ``analytic`` directory.  On the real
+    tree that is exactly one: :meth:`SessionReplayManager._replay
+    <repro.sim.replay.manager.SessionReplayManager>`, the injector both
+    timeline sources (recorded and analytic) go through.  Everything a
+    root can reach (its effect closure) is what the fast path
+    replicates.
     """
     roots: List[str] = []
     for full in sorted(project.functions):
         facts, fn = project.functions[full]
-        if fn.name not in ROOT_NAMES:
+        if fn.name != ROOT_NAME:
             continue
         parts = _path_parts(facts)
         if any(segment in parts for segment in ROOT_SEGMENTS):

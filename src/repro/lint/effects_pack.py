@@ -25,9 +25,8 @@ The EFF rules close the interprocedural gap the syntactic pair cannot
 see — an effect hidden one helper call away from the manager:
 
 * EFF001 — a session-path effect signature missing from the effect
-  *closure* of at least one replication root
-  (``SessionReplayManager._replay`` /
-  ``TieredSessionManager._materialize``): the fast path genuinely does
+  *closure* of a replication root (``SessionReplayManager._replay``,
+  the one injector of both fast paths): the fast path genuinely does
   not reproduce it, wherever the replication would have been buried;
 * EFF002 — an effect performed by a replication root's module that is
   neither part of the derived session contract nor delegated to
@@ -159,9 +158,9 @@ def render_effects_module(derived: Iterable[str],
         "A replay hit (:mod:`repro.sim.replay`) or analytic injection",
         "(:mod:`repro.sim.analytic`) never drives :mod:`repro.tcp`",
         "packet-by-packet, so every side effect a simulated session",
-        "leaves behind must be replicated explicitly by the fast-path",
-        "managers.  The signatures below are derived by",
-        ":mod:`repro.lint.effectflow` as the intersection of both",
+        "leaves behind must be replicated explicitly by the session",
+        "executor's one injector.  The signatures below are derived by",
+        ":mod:`repro.lint.effectflow` as the intersection of the",
         "replication roots' effect closures, restricted to signatures",
         "with at least one session-path site; the EFF004 simlint rule",
         "fails when this file no longer matches the derivation, and",

@@ -27,13 +27,12 @@ from repro.measure.emulator import QueryEmulator
 from repro.measure.session import QuerySession
 from repro.services.frontend import FrontEndServer
 from repro.sim.process import Sleep, spawn
-from repro.sim.analytic import TieredSessionManager, TierStats, tier_mode
+from repro.sim.analytic import TieredSessionManager, tier_mode
 from repro.sim.replay import (
+    ExecutorStats,
     ReplayCache,
-    ReplayStats,
     SessionReplayManager,
     SubmissionSchedule,
-    replay_cache_enabled,
 )
 from repro.testbed.scenario import Scenario
 from repro.testbed.vantage import VantagePoint
@@ -47,10 +46,10 @@ class DatasetA:
     #: (vp_name, service) -> (fe_name, rtt_seconds)
     default_fe: Dict[Tuple[str, str], Tuple[str, float]] = \
         field(default_factory=dict)
-    #: Session-replay cache accounting, or None when the cache was off.
-    replay: Optional[ReplayStats] = None
-    #: Tiered-execution accounting, or None when tier was "packet".
-    tier: Optional[TierStats] = None
+    #: Executor accounting when the recorded source (replay cache) ran.
+    replay: Optional[ExecutorStats] = None
+    #: Executor accounting when the analytic source (tier) ran.
+    tier: Optional[ExecutorStats] = None
     #: Observability capture (repro.obs), set when tracing is enabled:
     #: canonical serialized spans and the campaign's metric delta.
     trace: Optional[list] = None
@@ -73,10 +72,10 @@ class DatasetB:
     service: str
     fe_name: str
     sessions: List[QuerySession] = field(default_factory=list)
-    #: Session-replay cache accounting, or None when the cache was off.
-    replay: Optional[ReplayStats] = None
-    #: Tiered-execution accounting, or None when tier was "packet".
-    tier: Optional[TierStats] = None
+    #: Executor accounting when the recorded source (replay cache) ran.
+    replay: Optional[ExecutorStats] = None
+    #: Executor accounting when the analytic source (tier) ran.
+    tier: Optional[ExecutorStats] = None
     #: Observability capture (repro.obs), as on :class:`DatasetA`.
     trace: Optional[list] = None
     obs_metrics: Optional[obs.MetricsSnapshot] = None
@@ -85,56 +84,39 @@ class DatasetB:
         return [s for s in self.sessions if s.vp_name == vp_name]
 
 
-def _replay_manager(scenario: Scenario, schedule: SubmissionSchedule,
-                    replay_cache, store_payload: bool,
-                    run_timeout: Optional[float]
-                    ) -> Optional[SessionReplayManager]:
-    """Resolve a driver's ``replay_cache`` argument into a manager.
-
-    ``None`` follows the ``REPRO_REPLAY_CACHE`` env default, ``False``
-    disables the cache, ``True`` forces a fresh per-campaign cache, and
-    a :class:`ReplayCache` instance is used as-is (letting successive
-    campaigns on the *same scenario* share warmed timelines).
-    """
-    if replay_cache is False:
-        return None
-    cache: Optional[ReplayCache] = None
-    if isinstance(replay_cache, ReplayCache):
-        cache = replay_cache
-    elif replay_cache is None and not replay_cache_enabled():
-        return None
-    return SessionReplayManager(scenario, schedule, cache=cache,
-                                store_payload=store_payload,
-                                run_timeout=run_timeout)
-
-
 def _campaign_manager(scenario: Scenario, schedule: SubmissionSchedule,
                       tier: Optional[str], replay_cache,
                       store_payload: bool,
-                      run_timeout: Optional[float]):
-    """Resolve a driver's executor: tiered, replay-cached, or None.
+                      run_timeout: Optional[float]
+                      ) -> Optional[SessionReplayManager]:
+    """Resolve a driver's executor and its timeline source.
 
-    ``tier`` follows the ``REPRO_TIER`` env default (see
-    :func:`~repro.sim.analytic.manager.tier_mode`); any mode other than
-    ``packet`` selects the tiered executor, which subsumes the replay
-    cache (its analytic tier already skips the packet engine, and its
-    packet tier is the ground-truth referee).
+    A ``tier`` mode other than ``packet`` (default from ``REPRO_TIER``,
+    see :func:`~repro.sim.analytic.manager.tier_mode`) picks the
+    analytic source.  Otherwise ``replay_cache`` picks the recorded
+    one: ``None`` or ``True`` a fresh per-campaign cache, a
+    :class:`ReplayCache` instance as-is (letting successive campaigns
+    on the *same scenario* share warmed timelines), and ``False`` no
+    executor, so every session is packet-simulated.
     """
     mode = tier_mode(tier)
     if mode != "packet":
         return TieredSessionManager(scenario, schedule, mode=mode,
                                     store_payload=store_payload,
                                     run_timeout=run_timeout)
-    return _replay_manager(scenario, schedule, replay_cache,
-                           store_payload, run_timeout)
+    if replay_cache is False:
+        return None
+    cache = replay_cache if isinstance(replay_cache, ReplayCache) \
+        else None
+    return SessionReplayManager(scenario, schedule, cache=cache,
+                                store_payload=store_payload,
+                                run_timeout=run_timeout)
 
 
-def _finalize_manager(dataset, manager) -> None:
-    """Store the executor's accounting on the dataset it produced."""
-    if isinstance(manager, TieredSessionManager):
-        dataset.tier = manager.finalize()
-    elif manager is not None:
-        dataset.replay = manager.finalize()
+def _finalize_manager(result, manager) -> None:
+    """Store the executor's accounting on the result it produced."""
+    if manager is not None:
+        setattr(result, manager.stats_field, manager.finalize())
 
 
 def run_dataset_a(scenario: Scenario, keywords: Sequence[Keyword], *,
@@ -153,9 +135,9 @@ def run_dataset_a(scenario: Scenario, keywords: Sequence[Keyword], *,
     ``interval`` seconds.
 
     ``replay_cache`` controls the session-replay cache (see
-    :mod:`repro.sim.replay` and :func:`_replay_manager`); the default
-    follows the ``REPRO_REPLAY_CACHE`` environment variable.  The cache
-    changes no observable output, only wall-clock time.
+    :mod:`repro.sim.replay` and :func:`_campaign_manager`); it is on by
+    default.  The cache changes no observable output, only wall-clock
+    time.
 
     ``tier`` selects the execution tier (``packet``/``analytic``/
     ``auto``; default from ``REPRO_TIER``).  Modes other than ``packet``
@@ -248,8 +230,9 @@ def _vp_loop(scenario: Scenario, emulator: QueryEmulator,
              manager=None):
     """Per-vantage-point query loop (a simulator process).
 
-    ``manager`` is a :class:`SessionReplayManager`, a
-    :class:`TieredSessionManager`, or None (plain submission).
+    ``manager`` is a :class:`SessionReplayManager` (or its
+    :class:`TieredSessionManager` subclass), or None (plain
+    submission).
     """
     if stagger > 0:
         yield Sleep(stagger)

@@ -40,9 +40,8 @@ from repro.measure.driver import _campaign_manager
 from repro.measure.emulator import QueryEmulator
 from repro.obs import runtime as _obs
 from repro.obs.metrics import SCOPE_SIM, MetricsSnapshot
-from repro.sim.analytic import TierStats
-from repro.sim.replay import ReplayStats
-from repro.sim.replay.manager import GUARD_FLOOR, GUARD_RTT_MULTIPLE
+from repro.sim.replay import ExecutorStats, merged_stats
+from repro.sim.replay.admission import isolation_guard
 from repro.testbed.scenario import Scenario
 from repro.testbed.vantage import VantagePoint
 from repro.workload.generator import QueryEvent, WorkloadSpec
@@ -126,8 +125,8 @@ class StreamingCampaignResult:
     #: Sessions still incomplete when the simulation drained.
     truncated: int = 0
     shards: int = 1
-    replay: Optional[ReplayStats] = None
-    tier: Optional[TierStats] = None
+    replay: Optional[ExecutorStats] = None
+    tier: Optional[ExecutorStats] = None
     #: name -> sketch; names are "duration/<service>" (seconds) and
     #: "bytes/<service>" (response bytes).
     sketches: Dict[str, QuantileSketch] = field(default_factory=dict)
@@ -213,11 +212,8 @@ class StreamingCampaignResult:
             for name in part.sketches:
                 if name not in names:
                     names.append(name)
-        replay = [part.replay for part in parts
-                  if part.replay is not None]
-        merged.replay = sum(replay) if replay else None
-        tier = [part.tier for part in parts if part.tier is not None]
-        merged.tier = sum(tier) if tier else None
+        merged.replay = merged_stats(part.replay for part in parts)
+        merged.tier = merged_stats(part.tier for part in parts)
         for name in sorted(names):
             merged.sketches[name] = merge_sketches(
                 part.sketches[name] for part in parts
@@ -347,7 +343,7 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
 
     def observe_session(session) -> None:
         duration = session.completed_at - session.started_at
-        guard = GUARD_FLOOR + GUARD_RTT_MULTIPLE * session.path_rtt
+        guard = isolation_guard(session.path_rtt)
         if duration + guard > lookahead:
             raise RuntimeError(
                 "session isolation window (%.3fs) exceeds the schedule "

@@ -251,7 +251,7 @@ def _campaign_metrics(mark: CampaignMark, kind: str, scenario,
 
 
 def record_replay_stats(stats) -> None:
-    """Surface a campaign's ReplayStats through the registry."""
+    """Surface the recorded source's ExecutorStats (host scope)."""
     m = runtime.metrics
     m.inc("replay.hits", stats.hits, SCOPE_HOST)
     m.inc("replay.misses", stats.misses, SCOPE_HOST)

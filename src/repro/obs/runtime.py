@@ -14,9 +14,8 @@ request) — never inside the per-event dispatch loop — so the disabled
 configuration adds no measurable overhead (benchmarked in
 ``benchmarks/test_bench_microperf.py``).
 
-The switch initialises from the ``REPRO_TRACE`` environment variable
-(same falsy convention as ``REPRO_REPLAY_CACHE``): unset/``0``/``off``/
-``false``/``no`` leave tracing disabled; any other value enables it,
+The switch initialises from the ``REPRO_TRACE`` environment variable:
+unset/``0``/``off``/``false``/``no`` leave tracing disabled; any other value enables it,
 and a value that is not simply ``1``/``on``/``true``/``yes`` is also
 taken as the JSONL export path by the CLI.  Worker processes created
 by :mod:`repro.parallel` inherit the flag via fork and additionally

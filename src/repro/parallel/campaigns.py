@@ -45,6 +45,7 @@ from repro.parallel.partition import (
     partition_round_robin,
 )
 from repro.parallel.pool import map_shards
+from repro.sim.replay import merged_stats
 from repro.testbed.scenario import Scenario, ScenarioConfig
 from repro.workload.generator import OpenLoopWorkload, WorkloadSpec
 
@@ -127,35 +128,6 @@ def _run_dataset_b_shard(shard: _DatasetBShard) -> DatasetB:
         run_timeout=shard.run_timeout,
         replay_cache=shard.replay_cache,
         tier=shard.tier)
-
-
-def _merged_replay_stats(results: Sequence[object]):
-    """Sum per-shard replay stats (None when every shard had cache off).
-
-    Per-shard caches are correctness-preserving without coordination:
-    a shard records and replays only its own sessions, each of which is
-    bit-identical to its simulated counterpart, so the merged dataset
-    equals the serial run regardless of which shard got which hit.
-    """
-    stats = [result.replay for result in results
-             if result.replay is not None]
-    if not stats:
-        return None
-    return sum(stats)
-
-
-def _merged_tier_stats(results: Sequence[object]):
-    """Sum per-shard tier stats (None when every shard ran packet-only).
-
-    Tier decisions are per-stratum and the Dataset-A partition keeps
-    each stratum inside one shard, so the merged counters equal the
-    serial run's exactly.
-    """
-    stats = [result.tier for result in results
-             if result.tier is not None]
-    if not stats:
-        return None
-    return sum(stats)
 
 
 #: Histogram bounds for per-shard session counts.
@@ -282,8 +254,8 @@ def run_dataset_a_sharded(scenario: Scenario,
     results = map_shards(_run_dataset_a_shard, shard_specs, processes)
 
     merged = DatasetA()
-    merged.replay = _merged_replay_stats(results)
-    merged.tier = _merged_tier_stats(results)
+    merged.replay = merged_stats(result.replay for result in results)
+    merged.tier = merged_stats(result.tier for result in results)
     merged.sessions = _sessions_in_fleet_order(scenario, results)
     default_fe: Dict[Tuple[str, str], Tuple[str, float]] = {}
     for result in results:
@@ -430,8 +402,8 @@ def run_dataset_b_sharded(scenario: Scenario, service_name: str,
     results = map_shards(_run_dataset_b_shard, shard_specs, processes)
 
     merged = DatasetB(service=service_name, fe_name=resolved)
-    merged.replay = _merged_replay_stats(results)
-    merged.tier = _merged_tier_stats(results)
+    merged.replay = merged_stats(result.replay for result in results)
+    merged.tier = merged_stats(result.tier for result in results)
     merged.sessions = _sessions_in_fleet_order(scenario, results)
     _merge_observability(obs_mark, results, merged)
     return merged

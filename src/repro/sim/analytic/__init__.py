@@ -16,8 +16,10 @@ function directly:
 * :mod:`~repro.sim.analytic.gate` — deterministic validation sampling
   and the divergence gate that demotes a stratum back to packet-level
   simulation when predictions drift beyond tolerance;
-* :mod:`~repro.sim.analytic.stats` — ``tier.*`` counters;
-* :mod:`~repro.sim.analytic.manager` — the driver-facing tier executor.
+* :mod:`~repro.sim.analytic.manager` — the analytic timeline source:
+  :class:`TieredSessionManager` is the session executor of
+  :mod:`repro.sim.replay` serving admitted sessions from predictions
+  instead of recordings, with the packet engine as referee.
 """
 
 from repro.sim.analytic.gate import DEFAULT_TOLERANCE, DivergenceGate
@@ -29,7 +31,6 @@ from repro.sim.analytic.model import (
     predict_session,
 )
 from repro.sim.analytic.predictor import AnalyticPredictor
-from repro.sim.analytic.stats import TierStats
 
 __all__ = [
     "AnalyticPredictor",
@@ -38,7 +39,6 @@ __all__ = [
     "LinkHorizon",
     "SessionModel",
     "SessionParams",
-    "TierStats",
     "TieredSessionManager",
     "predict_session",
     "tier_mode",

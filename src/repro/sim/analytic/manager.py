@@ -1,8 +1,10 @@
 """The tiered campaign executor: analytic bulk, packet-level referee.
 
-One :class:`TieredSessionManager` serves one campaign run.  Drivers
-route every query submission through :meth:`TieredSessionManager.submit`
-and the manager decides, per submission, between
+:class:`TieredSessionManager` is the session executor of
+:mod:`repro.sim.replay.manager` with its timeline source swapped: the
+analytic prediction instead of the recorded timeline.  Drivers route
+every query submission through :meth:`TieredSessionManager.submit` and
+the manager decides, per submission, between
 
 * **bypass** — an admission rule (campaign, path, analytic-path, or
   temporal) failed; packet-simulate and count the reason;
@@ -11,8 +13,8 @@ and the manager decides, per submission, between
   prediction's landmarks against the trace and demote the stratum on
   divergence;
 * **analytic** — skip the packet engine entirely; the closed-form
-  prediction is injected through the same replay machinery a cache hit
-  uses, replicating every observable side effect.
+  prediction is injected through the executor's one injector, the
+  same a cache hit uses, replicating every observable side effect.
 
 All tier decisions are stratum-local and seeded, so a sharded campaign
 (whose partition keeps strata whole) makes the same decisions as a
@@ -22,7 +24,8 @@ serial one, bit for bit.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Optional
 
 from repro.measure.session import QuerySession
 from repro.obs import runtime as _obs
@@ -34,13 +37,8 @@ from repro.sim.analytic.gate import (
     landmark_divergences,
 )
 from repro.sim.analytic.predictor import AnalyticPredictor, analytic_path_reason
-from repro.sim.analytic.stats import TierStats
-from repro.sim.replay.admission import (
-    SubmissionSchedule,
-    campaign_bypass_reason,
-    path_bypass_reason,
-)
-from repro.sim.replay.timeline import materialize_events
+from repro.sim.replay.admission import SubmissionSchedule
+from repro.sim.replay.manager import SessionReplayManager
 
 #: Valid values for the campaign tier policy.
 TIER_MODES = ("packet", "analytic", "auto")
@@ -67,28 +65,19 @@ def tier_mode(explicit: Optional[str] = None) -> str:
     return value
 
 
-class _PendingValidation:
-    """A packet-simulated validation sample awaiting completion."""
-
-    __slots__ = ("stratum", "session", "prediction", "tcp_host")
-
-    def __init__(self, stratum: tuple, session: QuerySession,
-                 prediction, tcp_host):
-        self.stratum = stratum
-        self.session = session
-        self.prediction = prediction
-        self.tcp_host = tcp_host
-
-
-class TieredSessionManager:
+class TieredSessionManager(SessionReplayManager):
     """Per-campaign tier orchestration (modes ``analytic`` / ``auto``).
 
     ``auto`` runs the full gate policy — per-stratum seeded validation
     samples plus divergence demotion.  ``analytic`` trusts the model
     outright (no validation packets at all); admission bypasses still
     packet-simulate in both modes, so inadmissible sessions are always
-    ground truth.
+    ground truth.  Every stats increment is mirrored as a sim-scope
+    ``tier.*`` obs counter: tier decisions are stratum-local, so the
+    counters are identical between serial and sharded runs.
     """
+
+    stats_field = "tier"
 
     def __init__(self, scenario, schedule: SubmissionSchedule, *,
                  mode: str = "auto",
@@ -100,20 +89,13 @@ class TieredSessionManager:
             raise ValueError(
                 "mode must be 'analytic' or 'auto' (use the plain "
                 "replay/simulation path for 'packet'), got %r" % (mode,))
-        self.scenario = scenario
-        self.schedule = schedule
+        super().__init__(scenario, schedule, store_payload=store_payload,
+                         run_timeout=run_timeout)
         self.mode = mode
         self.predictor = AnalyticPredictor(scenario)
         self.gate = DivergenceGate(
             scenario.streams.seed, tolerance=tolerance,
             validate_every=(validate_every if mode == "auto" else None))
-        self.stats = TierStats()
-        self._campaign_reason = campaign_bypass_reason(
-            scenario, store_payload, run_timeout)
-        self._path_reasons: Dict[tuple, Optional[str]] = {}
-        self._pending: List[_PendingValidation] = []
-        #: fe name -> [(session, guard)] of sessions submitted to it.
-        self._live: Dict[str, List[Tuple[QuerySession, float]]] = {}
 
     # ------------------------------------------------------------------
     def submit(self, emulator, service_name: str, frontend,
@@ -121,14 +103,13 @@ class TieredSessionManager:
         """Submit one query through the tier policy."""
         self._drain()
         reason = self._bypass_reason(emulator, service_name, frontend)
+        stratum = (service_name, frontend.node.name, emulator.vp.name)
+        if reason is None and self.gate.demoted(stratum):
+            reason = "gate-demoted"
         if reason is not None:
             return self._bypass(emulator, service_name, frontend,
                                 keyword, reason)
 
-        stratum = (service_name, frontend.node.name, emulator.vp.name)
-        if self.gate.demoted(stratum):
-            return self._bypass(emulator, service_name, frontend,
-                                keyword, "gate-demoted")
         guard = self._guard(emulator, service_name, frontend)
         prediction, reason = self.predictor.predict(
             service_name, frontend, emulator.vp.name, keyword,
@@ -137,212 +118,59 @@ class TieredSessionManager:
             return self._bypass(emulator, service_name, frontend,
                                 keyword, reason)
 
-        decision = self.gate.decide(stratum)
-        if decision == "validate":
+        if self.gate.decide(stratum) == "validate":
             self.stats.validations += 1
-            if _obs.enabled:
-                _obs.metrics.inc("tier.validations", scope=SCOPE_SIM)
+            self._count("validations")
             session = self._simulate(emulator, service_name, frontend,
                                      keyword, guard)
-            self._pending.append(_PendingValidation(
-                stratum, session, prediction, emulator.tcp_host))
+            self._pending.append((session, partial(
+                self._settle_sample, session, stratum, prediction,
+                emulator.tcp_host)))
             return session
 
         self.stats.analytic += 1
-        if _obs.enabled:
-            _obs.metrics.inc("tier.analytic_sessions", scope=SCOPE_SIM)
-        return self._materialize(emulator, service_name, frontend,
-                                 keyword, prediction)
-
-    def finalize(self) -> TierStats:
-        """Settle outstanding validations and return the run's stats.
-
-        Call after ``sim.run()`` returns; validation sessions still
-        incomplete then count as divergences (the model predicted a
-        completion the packet engine never delivered).
-        """
-        self._drain()
-        for pending in self._pending:
-            # Incomplete at end of run: unconditionally divergent.
-            self._record_divergence(pending.stratum)
-        self._pending = []
-        return self.stats
+        self._count("analytic_sessions")
+        return self._replay(emulator, service_name, frontend, keyword,
+                            prediction.timeline)
 
     # ------------------------------------------------------------------
-    # admission
+    # the analytic source
     # ------------------------------------------------------------------
-    def _bypass_reason(self, emulator, service_name: str,
-                       frontend) -> Optional[str]:
-        if self._campaign_reason is not None:
-            return self._campaign_reason
-        triple = (service_name, frontend.node.name, emulator.vp.name)
-        if triple not in self._path_reasons:
-            reason = path_bypass_reason(
-                self.scenario, service_name, frontend, emulator.vp.name)
-            if reason is None:
-                reason = analytic_path_reason(
-                    self.scenario, service_name, frontend)
-            self._path_reasons[triple] = reason
-        reason = self._path_reasons[triple]
-        if reason is not None:
-            return reason
-        now = self.scenario.sim.now
-        if now <= 0.0:
-            return "time-origin"
-        path = self.predictor.path(service_name, frontend,
-                                   emulator.vp.name)
-        if now < path.warmup_horizon:
-            # The FE-BE pool handshakes may still occupy those links.
-            return "warm-up"
-        if self.schedule.count_at(frontend.node.name, now) != 1:
-            return "concurrent-submit"
-        if self._fe_busy(frontend.node.name, now):
-            return "fe-busy"
-        return None
+    def _path_reason(self, service_name: str, frontend,
+                     vp_name: str) -> Optional[str]:
+        return super()._path_reason(service_name, frontend, vp_name) \
+            or analytic_path_reason(self.scenario, service_name, frontend)
 
-    def _fe_busy(self, fe_name: str, now: float) -> bool:
-        live = self._live.get(fe_name)
-        if not live:
-            return False
-        still = [(session, guard) for session, guard in live
-                 if session.completed_at is None
-                 or session.completed_at + guard > now]
-        self._live[fe_name] = still
-        return bool(still)
+    def _warming_up(self, service_name: str, frontend, vp_name: str,
+                    now: float) -> bool:
+        # The FE-BE pool handshakes may still occupy those links.
+        path = self.predictor.path(service_name, frontend, vp_name)
+        return now < path.warmup_horizon
 
-    def _guard(self, emulator, service_name: str, frontend) -> float:
-        from repro.sim.replay.manager import GUARD_FLOOR, \
-            GUARD_RTT_MULTIPLE
-        rtt = self.scenario.client_fe_rtt(
-            emulator.vp, frontend, self.scenario.service(service_name))
-        return GUARD_FLOOR + GUARD_RTT_MULTIPLE * rtt
-
-    # ------------------------------------------------------------------
-    # packet tier
-    # ------------------------------------------------------------------
-    def _bypass(self, emulator, service_name: str, frontend, keyword,
-                reason: str) -> QuerySession:
-        self.stats.bypass(reason)
+    def _count(self, name: str) -> None:
         if _obs.enabled:
-            _obs.metrics.inc("tier.bypass.%s" % reason, scope=SCOPE_SIM)
-        guard = self._guard(emulator, service_name, frontend)
-        return self._simulate(emulator, service_name, frontend, keyword,
-                              guard)
+            _obs.metrics.inc("tier.%s" % name, scope=SCOPE_SIM)
 
-    def _simulate(self, emulator, service_name: str, frontend, keyword,
-                  guard: float) -> QuerySession:
-        self.stats.simulated += 1
-        if _obs.enabled:
-            _obs.metrics.inc("tier.simulated_sessions", scope=SCOPE_SIM)
-        session = emulator.submit(service_name, frontend, keyword)
-        self._live.setdefault(frontend.node.name, []) \
-            .append((session, guard))
-        return session
-
-    def _drain(self) -> None:
-        still = []
-        for pending in self._pending:
-            if pending.session.completed_at is None:
-                still.append(pending)
-                continue
-            self._settle(pending)
-        self._pending = still
-
-    def _settle(self, pending: _PendingValidation) -> None:
-        session = pending.session
-        if session.failed is not None or not session.events:
-            self._record_divergence(pending.stratum)
-            return
-        divergences = landmark_divergences(session, pending.prediction,
-                                           pending.tcp_host)
-        if _obs.enabled:
-            for name, value in divergences.items():
-                _obs.metrics.observe("tier.divergence.%s" % name, value,
-                                     bounds=DIVERGENCE_BOUNDS,
-                                     scope=SCOPE_SIM)
-        diverged, demoted_now = self.gate.observe(pending.stratum,
-                                                  divergences)
+    def _settle_sample(self, session: QuerySession, stratum: tuple,
+                       prediction, tcp_host) -> None:
+        """Compare a validation sample's landmarks with the prediction."""
+        if session.completed_at is None or session.failed is not None \
+                or not session.events:
+            # The model predicted a completion the packet engine never
+            # delivered: unconditionally divergent.
+            divergences = {"te": float("inf")}
+        else:
+            divergences = landmark_divergences(session, prediction,
+                                               tcp_host)
+            if _obs.enabled:
+                for name, value in divergences.items():
+                    _obs.metrics.observe(
+                        "tier.divergence.%s" % name, value,
+                        bounds=DIVERGENCE_BOUNDS, scope=SCOPE_SIM)
+        diverged, demoted_now = self.gate.observe(stratum, divergences)
         if diverged:
             self.stats.divergences += 1
-            if _obs.enabled:
-                _obs.metrics.inc("tier.divergences", scope=SCOPE_SIM)
+            self._count("divergences")
         if demoted_now:
             self.stats.demotions += 1
-            if _obs.enabled:
-                _obs.metrics.inc("tier.demotions", scope=SCOPE_SIM)
-
-    def _record_divergence(self, stratum: tuple) -> None:
-        diverged, demoted_now = self.gate.observe(
-            stratum, {"te": float("inf")})
-        if diverged:
-            self.stats.divergences += 1
-            if _obs.enabled:
-                _obs.metrics.inc("tier.divergences", scope=SCOPE_SIM)
-        if demoted_now:
-            self.stats.demotions += 1
-            if _obs.enabled:
-                _obs.metrics.inc("tier.demotions", scope=SCOPE_SIM)
-
-    # ------------------------------------------------------------------
-    # analytic tier
-    # ------------------------------------------------------------------
-    def _materialize(self, emulator, service_name: str, frontend,
-                     keyword, prediction) -> QuerySession:
-        """Inject the predicted session without packet simulation.
-
-        Mirrors the replay cache's hit path exactly: same side-effect
-        order as a real submit, same server-record scheduling, same
-        event materialization.
-
-        Effect-parity contract: this method is a simflow replication
-        root — its effect closure must cover every signature in
-        sim/replay/effects.py (generated; EFF001/EFF004 enforce the
-        parity statically).
-        """
-        scenario = self.scenario
-        entry = prediction.timeline
-        start = scenario.sim.now
-        service = scenario.service(service_name)
-        service.register_keywords([keyword])
-        query_id = emulator.next_query_id()
-        session = QuerySession(
-            query_id=query_id,
-            service=service_name,
-            vp_name=emulator.vp.name,
-            fe_name=frontend.node.name,
-            keyword=keyword,
-            started_at=start,
-            path_rtt=scenario.client_fe_rtt(emulator.vp, frontend,
-                                            service))
-        session.local_port = emulator.tcp_host.reserve_port()
-        emulator.sessions.append(session)
-        backend = service.backend_for_frontend(frontend)
-        scenario.sim.schedule_timeline(start, [
-            (entry.forward_offset, self._server_effects,
-             (frontend, backend, entry, query_id, start)),
-            (entry.duration, self._finalize_session,
-             (emulator, session, entry, start)),
-        ])
-        self._live.setdefault(frontend.node.name, []) \
-            .append((session, entry.guard))
-        return session
-
-    def _server_effects(self, frontend, backend, entry, query_id: str,
-                        start: float) -> None:
-        frontend.record_replayed_fetch(
-            query_id, start + entry.forward_offset,
-            start + entry.fetch_completed_offset, entry.fetch_size)
-        backend.record_replayed_query(
-            query_id, entry.keyword_text,
-            start + entry.be_arrival_offset, entry.tproc,
-            entry.be_response_size, start + entry.be_completed_offset)
-
-    def _finalize_session(self, emulator, session: QuerySession, entry,
-                          start: float) -> None:
-        session.completed_at = self.scenario.sim.now
-        session.response_size = entry.response_size
-        events = materialize_events(entry, start, session.vp_name,
-                                    session.fe_name, session.local_port,
-                                    emulator.tcp_host)
-        emulator.capture.inject(events)
-        session.events = events
+            self._count("demotions")

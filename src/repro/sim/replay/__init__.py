@@ -1,9 +1,24 @@
-"""Deterministic session-replay cache.
+"""The session executor and its recorded timeline source.
 
-A Dataset-A/B campaign re-simulates thousands of query sessions whose
-packet timelines are pure functions of a small parameter tuple: the
-client-FE path, the TCP configs, the static/dynamic byte sizes, and the
-per-query keyed service draws.  This package memoizes those timelines.
+:class:`SessionReplayManager` is the one session executor: every
+campaign submission goes through it.  A run has one fast timeline
+source, picked per campaign in this order:
+
+1. the **analytic** prediction, when the subclass
+   :class:`~repro.sim.analytic.manager.TieredSessionManager` runs
+   (tier ``auto``/``analytic``);
+2. else the **recorded** timeline of this package's replay cache
+   (unless ``replay_cache=False``, when no executor runs at all).
+
+Every submission the source cannot serve goes to the **packet** engine,
+the referee both sources are validated against.  One
+:class:`ExecutorStats` type counts the outcome, whichever source ran.
+
+The recorded source: a Dataset-A/B campaign re-simulates thousands of
+query sessions whose packet timelines are pure functions of a small
+parameter tuple: the client-FE path, the TCP configs, the
+static/dynamic byte sizes, and the per-query keyed service draws.  This
+package memoizes those timelines.
 On a cache hit the driver skips the packet-level simulation entirely
 and *replays* the recorded timeline time-shifted to the new start —
 producing bit-identical :class:`~repro.measure.capture.PacketEvent`
@@ -25,20 +40,21 @@ Correctness rests on three pillars (see ``docs/PERFORMANCE.md``):
 * **Side-effect replication**: a replayed session burns the same
   ephemeral port, writes the same fetch/query ground-truth records, and
   injects the same capture events the full simulation would have
-  produced.
+  produced.  One injector does this for both sources.
 """
 
 from repro.sim.replay.admission import SubmissionSchedule
-from repro.sim.replay.cache import ReplayCache, ReplayStats
+from repro.sim.replay.cache import ReplayCache
 from repro.sim.replay.manager import (
+    ExecutorStats,
     SessionReplayManager,
-    replay_cache_enabled,
+    merged_stats,
 )
 
 __all__ = [
+    "ExecutorStats",
     "ReplayCache",
-    "ReplayStats",
     "SessionReplayManager",
     "SubmissionSchedule",
-    "replay_cache_enabled",
+    "merged_stats",
 ]

@@ -16,13 +16,26 @@ into three layers, evaluated cheapest-first:
 
 Every helper returns ``None`` for "admissible" or a short reason string
 that becomes a bypass-counter key in
-:class:`~repro.sim.replay.cache.ReplayStats`.
+:class:`~repro.sim.replay.manager.ExecutorStats`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional
+
+#: Quiet time a session needs on its front-end beyond ``completed_at``:
+#: a constant floor plus a few client-FE round trips, covering the FIN
+#: exchange that trails the response (~1.5 RTT).  Also the spacing the
+#: isolation checks demand before the next submission to the same FE.
+GUARD_FLOOR = 0.2
+GUARD_RTT_MULTIPLE = 2.0
+
+
+def isolation_guard(rtt: float) -> float:
+    """The guard time of a session whose client-FE round trip is
+    ``rtt`` (see :data:`GUARD_FLOOR`)."""
+    return GUARD_FLOOR + GUARD_RTT_MULTIPLE * rtt
 
 
 class SubmissionSchedule:

@@ -1,4 +1,4 @@
-"""The replay cache proper: bounded LRU storage plus counters.
+"""The replay cache proper: bounded LRU storage of recorded timelines.
 
 The cache maps session fingerprints (see
 :mod:`repro.sim.replay.fingerprint`) to recorded timelines.  It is
@@ -10,68 +10,9 @@ and binds itself to the first scenario it is used with.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.sim.replay.timeline import RecordedTimeline
-
-
-@dataclass
-class ReplayStats:
-    """Replay-cache accounting for one campaign run.
-
-    Picklable and summable: sharded campaigns return one instance per
-    worker and merge them with ``sum(...)``.  Every submission lands in
-    exactly one of ``hits`` (timeline replayed, no simulation),
-    ``misses`` (simulated through an admissible path — recorded or used
-    to validate an existing entry), or one ``bypasses`` bucket
-    (simulated because an admission rule failed).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    #: Sessions whose timeline entered the cache (unvalidated).
-    recorded: int = 0
-    #: First-reuse comparisons that matched and promoted an entry.
-    validations: int = 0
-    #: First-reuse comparisons that did NOT match (entry demoted).
-    validation_failures: int = 0
-    evictions: int = 0
-    #: Reason -> count for submissions admission turned away.
-    bypasses: Dict[str, int] = field(default_factory=dict)
-
-    def bypass(self, reason: str) -> None:
-        self.bypasses[reason] = self.bypasses.get(reason, 0) + 1
-
-    @property
-    def bypassed(self) -> int:
-        return sum(self.bypasses.values())
-
-    @property
-    def submissions(self) -> int:
-        return self.hits + self.misses + self.bypassed
-
-    def __add__(self, other: "ReplayStats") -> "ReplayStats":
-        if not isinstance(other, ReplayStats):
-            return NotImplemented
-        merged_bypasses = dict(self.bypasses)
-        for reason, count in other.bypasses.items():
-            merged_bypasses[reason] = merged_bypasses.get(reason, 0) + count
-        return ReplayStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            recorded=self.recorded + other.recorded,
-            validations=self.validations + other.validations,
-            validation_failures=(self.validation_failures
-                                 + other.validation_failures),
-            evictions=self.evictions + other.evictions,
-            bypasses=merged_bypasses)
-
-    def __radd__(self, other):
-        # Lets shard results merge with a plain sum(stats_list).
-        if other == 0:
-            return self
-        return NotImplemented
 
 
 class ReplayCache:

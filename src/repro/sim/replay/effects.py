@@ -7,9 +7,9 @@ GENERATED FILE - do not edit by hand.  Regenerate with::
 A replay hit (:mod:`repro.sim.replay`) or analytic injection
 (:mod:`repro.sim.analytic`) never drives :mod:`repro.tcp`
 packet-by-packet, so every side effect a simulated session
-leaves behind must be replicated explicitly by the fast-path
-managers.  The signatures below are derived by
-:mod:`repro.lint.effectflow` as the intersection of both
+leaves behind must be replicated explicitly by the session
+executor's one injector.  The signatures below are derived by
+:mod:`repro.lint.effectflow` as the intersection of the
 replication roots' effect closures, restricted to signatures
 with at least one session-path site; the EFF004 simlint rule
 fails when this file no longer matches the derivation, and

@@ -89,9 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tier", default=None,
                         choices=("analytic", "packet", "auto"),
                         help="execution tier (as on the main CLI)")
-    parser.add_argument("--replay-cache", action="store_true",
-                        help="force the session-replay cache on "
-                             "(default: REPRO_REPLAY_CACHE)")
     parser.add_argument("--batch", type=int,
                         default=DEFAULT_BATCH_EVENTS, metavar="N",
                         help="events scheduled per simulator burst "
@@ -111,8 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                         if p != "infinite"))
     parser.add_argument("--sweep-alpha", default=None,
                         metavar="A[,A...]",
-                        help="run once per Zipf alpha (replay cache "
-                             "forced on) and print the hit-rate table")
+                        help="run once per Zipf alpha and print the "
+                             "hit-rate table")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="write the generated event stream as a "
                              "JSONL trace instead of simulating")
@@ -158,23 +155,20 @@ def _scenario_from_args(args) -> Scenario:
         fe_cache=_parse_fe_cache(args.fe_cache)))
 
 
-def _run(args, spec: WorkloadSpec,
-         replay_cache=None) -> StreamingCampaignResult:
-    replay = True if (args.replay_cache and replay_cache is None) \
-        else replay_cache
+def _run(args, spec: WorkloadSpec) -> StreamingCampaignResult:
     if args.shards > 1:
         from repro.parallel import run_streaming_sharded
         return run_streaming_sharded(
             _scenario_from_args(args), spec,
             shards=args.shards, processes=args.processes,
             batch_events=args.batch, lookahead=args.lookahead,
-            tier=args.tier, replay_cache=replay)
+            tier=args.tier)
     scenario = _scenario_from_args(args)
     workload = OpenLoopWorkload(
         spec, [vp.name for vp in scenario.vantage_points])
     return run_streaming_campaign(
         scenario, workload, batch_events=args.batch,
-        lookahead=args.lookahead, tier=args.tier, replay_cache=replay)
+        lookahead=args.lookahead, tier=args.tier)
 
 
 def _summary_dict(result: StreamingCampaignResult) -> dict:
@@ -248,8 +242,7 @@ def _sweep_alpha(args, alphas: List[float]) -> int:
           % ("alpha", "events", "hits", "hit-rate", "fe-cache"))
     rates = []
     for alpha in alphas:
-        result = _run(args, _spec_from_args(args, alpha=alpha),
-                      replay_cache=True)
+        result = _run(args, _spec_from_args(args, alpha=alpha))
         # With a finite --fe-cache the content hit rate is the figure
         # of merit; the default black box falls back to replay hits.
         content = result.content_hit_rate()
@@ -297,8 +290,7 @@ def main(argv=None) -> int:
         result = run_streaming_campaign(
             scenario, TraceWorkload(args.trace_in),
             batch_events=args.batch, lookahead=args.lookahead,
-            tier=args.tier,
-            replay_cache=True if args.replay_cache else None)
+            tier=args.tier)
     else:
         result = _run(args, _spec_from_args(args))
     _print_result(result)

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lint import LintConfig, LintRunner
-from repro.lint.effectflow import join
-from repro.lint.project import _str_skeleton
+from repro.lint.effectflow import join, replication_roots
+from repro.lint.project import ProjectContext, _str_skeleton
 from repro.lint.rng_lineage import _patterns_collide
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -118,6 +118,16 @@ def _lint(paths):
 
 def test_real_tree_is_parity_clean():
     assert _lint([SRC_TREE]) == []
+
+
+def test_real_tree_has_exactly_one_replication_root():
+    # The EFF rules stand down without a root, so renaming the injector
+    # must fail here rather than silently disable the parity check.
+    runner = LintRunner(LintConfig())
+    runner.run_paths([SRC_TREE])
+    project = ProjectContext(list(runner._facts_by_path.values()))
+    assert replication_roots(project) == [
+        "repro.sim.replay.manager.SessionReplayManager._replay"]
 
 
 def test_deleting_a_replication_line_trips_eff001(tmp_path):
