@@ -10,17 +10,29 @@ The generator emits *actual bytes* so the analysis pipeline can discover
 the static/dynamic boundary the same way the paper did: by diffing
 response bodies across different keywords, with no access to ground
 truth.  Content is fully deterministic given (service, keyword).
+
+Rendered dynamic portions are memoized per generator in a small LRU
+keyed by the :class:`Keyword` value: a campaign issues the same keywords
+many times, and rendering is the costliest step of serving one.  The
+bytes are a pure function of (generator, keyword), so the memo cannot
+change a response.
 """
 
 from __future__ import annotations
 
+import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List
 
 from repro.content import words
 from repro.content.keywords import Keyword
 from repro.sim.randomness import derive_seed
-import random
+
+#: Dynamic portions each :class:`PageGenerator` keeps rendered.  Covers
+#: a measurement campaign's keyword set several times over; a stream
+#: over a larger working set re-renders what it evicted, byte for byte.
+DYNAMIC_MEMO_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -65,6 +77,7 @@ class PageGenerator:
         self.profile = profile or PageProfile()
         self.seed = seed
         self._static_cache: bytes = b""
+        self._dynamic_memo: "OrderedDict[Keyword, bytes]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # static portion
@@ -112,6 +125,17 @@ class PageGenerator:
     # ------------------------------------------------------------------
     def dynamic_content(self, keyword: Keyword) -> bytes:
         """The per-query dynamic suffix (results, ads, dynamic menu)."""
+        memo = self._dynamic_memo
+        page = memo.get(keyword)
+        if page is not None:
+            memo.move_to_end(keyword)
+            return page
+        page = memo[keyword] = self._render_dynamic(keyword)
+        if len(memo) > DYNAMIC_MEMO_ENTRIES:
+            memo.popitem(last=False)
+        return page
+
+    def _render_dynamic(self, keyword: Keyword) -> bytes:
         rng = random.Random(derive_seed(
             self.seed, "dyn/%s/%s" % (self.service_name, keyword.text)))
         target = self.profile.dynamic_size(keyword)
@@ -122,8 +146,11 @@ class PageGenerator:
         for i in range(self.profile.ads_per_page):
             parts.append(self._ad(rng, keyword, i))
         result_count = 0
-        while sum(len(p) for p in parts) < target - 400:
-            parts.append(self._result(rng, keyword, result_count))
+        length = sum(len(p) for p in parts)
+        while length < target - 400:
+            result = self._result(rng, keyword, result_count)
+            parts.append(result)
+            length += len(result)
             result_count += 1
         parts.append("<div id=\"footer\">%s results generated</div>"
                      "</body></html>" % result_count)

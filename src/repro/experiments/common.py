@@ -38,6 +38,13 @@ CALIBRATION_KEYWORDS = (
             complexity=0.4),
 )
 
+#: Calibration query ids: a namespace of their own beside the emulator's
+#: ``q-<vp>-<n>``, at the same width so request sizes match.  A
+#: calibration issued after a campaign on the campaign's vantage point
+#: must not reuse its query ids: the FE fetch log is keyed by them, and
+#: a reused id would replace the campaign's ground-truth record.
+_CALIBRATION_ID_TEMPLATE = "c-%s-%06d"
+
 
 @dataclass(frozen=True)
 class ExperimentScale:
@@ -101,8 +108,10 @@ def calibrate_service(scenario: Scenario, service_name: str,
     for frontend in targets:
         scenario.link_client_to_frontend(vp, frontend, service)
         for keyword in CALIBRATION_KEYWORDS:
+            query_id = _CALIBRATION_ID_TEMPLATE % (vp.name,
+                                                   len(sessions) + 1)
             sessions.append(emulator.submit(service_name, frontend,
-                                            keyword))
+                                            keyword, query_id=query_id))
     scenario.sim.run()
     incomplete = [s for s in sessions if not s.complete]
     if incomplete:

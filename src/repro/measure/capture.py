@@ -16,7 +16,7 @@ needs only sequence numbers.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.net.node import Node
 from repro.net.packet import Packet
@@ -89,6 +89,8 @@ class PacketCapture:
         self.node = node
         self.store_payload = store_payload
         self.events: List[PacketEvent] = []
+        #: local port -> that connection's events, in capture order.
+        self._by_port: Dict[int, List[PacketEvent]] = {}
         self._tap: Optional[Callable] = None
         self.attach()
 
@@ -105,6 +107,18 @@ class PacketCapture:
 
     def clear(self) -> None:
         self.events.clear()
+        self._by_port.clear()
+
+    def drop_before(self, time: float) -> None:
+        """Forget every event captured before ``time``."""
+        self.events = [e for e in self.events if e.time >= time]
+        self._by_port = {}
+        self._index(self.events)
+
+    def _index(self, events: List[PacketEvent]) -> None:
+        by_port = self._by_port
+        for event in events:
+            by_port.setdefault(event.local_port, []).append(event)
 
     # ------------------------------------------------------------------
     def _observe(self, event: str, packet: Packet) -> None:
@@ -113,13 +127,16 @@ class PacketCapture:
         segment = packet.payload
         if not isinstance(segment, Segment):
             return
-        direction = "out" if event == "send" else "in"
+        if event == "send":
+            direction, port = "out", segment.sport
+        else:
+            direction, port = "in", segment.dport
         # The capture is the materialization boundary for zero-copy
         # segment payloads: bytes are synthesized from the wire's lazy
         # views here and only here.  With store_payload=False (the
         # default for measurement campaigns) payload travels the whole
         # simulated path length-only.
-        self.events.append(PacketEvent(
+        captured = PacketEvent(
             time=self.sim.now,
             direction=direction,
             src=packet.src, dst=packet.dst,
@@ -130,7 +147,9 @@ class PacketCapture:
             syn=segment.syn, fin=segment.fin,
             ack_flag=segment.ack_flag,
             retransmit=segment.retransmit,
-            payload=bytes(segment.data) if self.store_payload else None))
+            payload=bytes(segment.data) if self.store_payload else None)
+        self.events.append(captured)
+        self._by_port.setdefault(port, []).append(captured)
 
     # ------------------------------------------------------------------
     def inject(self, events: List[PacketEvent]) -> None:
@@ -145,6 +164,7 @@ class PacketCapture:
         last event's timestamp).
         """
         self.events.extend(events)
+        self._index(events)
 
     # ------------------------------------------------------------------
     def flow_events(self, local_port: int,
@@ -152,5 +172,5 @@ class PacketCapture:
                     end: float = float("inf")) -> List[PacketEvent]:
         """Events of one connection (by the host's local port), within a
         time window — the per-session trace slice."""
-        return [e for e in self.events
-                if e.local_port == local_port and start <= e.time < end]
+        return [e for e in self._by_port.get(local_port, ())
+                if start <= e.time < end]

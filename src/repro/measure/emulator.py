@@ -122,5 +122,4 @@ class QueryEmulator:
 
         Long campaigns call this after harvesting each batch.
         """
-        self.capture.events = [e for e in self.capture.events
-                               if e.time >= time]
+        self.capture.drop_before(time)

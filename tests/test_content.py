@@ -1,9 +1,16 @@
 """Tests for the keyword and page-content models."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.content.keywords import Keyword, KeywordCatalog
-from repro.content.page import PageGenerator, PageProfile
+from repro.content.page import (
+    DYNAMIC_MEMO_ENTRIES,
+    PageGenerator,
+    PageProfile,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -147,3 +154,84 @@ def test_dynamic_target_size_model():
     hard = profile.dynamic_size(kw("b", complexity=1.0, popularity=0.0))
     assert easy == 20_000
     assert hard == 30_000
+
+
+# ---------------------------------------------------------------------------
+# dynamic-render memo
+# ---------------------------------------------------------------------------
+#: A profile small enough that a hypothesis run can afford many renders.
+_SMALL = PageProfile(static_size=1024, dynamic_base_size=2048,
+                     dynamic_complexity_size=3000)
+#: More distinct keywords than the memo holds, so sequences evict.
+_POOL = [kw("pool keyword %d" % i, popularity=(i % 7) / 7,
+            complexity=(i % 5) / 5)
+         for i in range(DYNAMIC_MEMO_ENTRIES + 16)]
+_FRESH = {}
+
+
+def _fresh_full_page(keyword):
+    """The page a generator that never rendered anything produces."""
+    if keyword not in _FRESH:
+        _FRESH[keyword] = PageGenerator("memo", _SMALL, seed=4).full_page(
+            keyword)
+    return _FRESH[keyword]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, len(_POOL) - 1),
+                min_size=DYNAMIC_MEMO_ENTRIES + 1,
+                max_size=3 * DYNAMIC_MEMO_ENTRIES))
+def test_memoized_pages_equal_fresh_renders(indices):
+    generator = PageGenerator("memo", _SMALL, seed=4)
+    static = generator.static_content()
+    for index in indices:
+        keyword = _POOL[index]
+        expected = _fresh_full_page(keyword)
+        assert generator.dynamic_content(keyword) == expected[len(static):]
+        assert generator.full_page(keyword) == expected
+        assert len(generator._dynamic_memo) <= DYNAMIC_MEMO_ENTRIES
+
+
+def test_memo_renders_once_per_keyword_and_evicts_least_recent():
+    generator = PageGenerator("memo", _SMALL, seed=4)
+    rendered = []
+    render = generator._render_dynamic
+
+    def counting(keyword):
+        rendered.append(keyword)
+        return render(keyword)
+
+    generator._render_dynamic = counting
+    first, others = _POOL[0], _POOL[1:DYNAMIC_MEMO_ENTRIES]
+    for keyword in [first] + others + [first]:
+        generator.dynamic_content(keyword)
+    assert rendered == [first] + others  # the repeat is a hit
+    # ``first`` was used last, so the next new keyword evicts _POOL[1].
+    generator.dynamic_content(_POOL[DYNAMIC_MEMO_ENTRIES])
+    generator.dynamic_content(first)
+    generator.dynamic_content(_POOL[1])
+    assert rendered[-2:] == [_POOL[DYNAMIC_MEMO_ENTRIES], _POOL[1]]
+
+
+#: sha256 of full pages under the default profile.  Rendering must not
+#: change behind the memo: a change here changes every campaign's bytes.
+_PINNED_PAGES = [
+    ("google", 0, "network measurement studies", 0.4, 0.4, 42400,
+     "416be35b9c8211468a657f73e827df97a74c9449aa60ade375babad83b3be91f"),
+    ("google", 0, "weather", 0.95, 0.05, 38600,
+     "285792470578cde68e0e79ff5f38c7d67f5bee63342d1e6007a0783639e46870"),
+    ("bing", 3, "computer and potato", 0.02, 0.9, 48640,
+     "56ea7c200ab7841c114b6ea161b23fdca9f4d6466c36382b7342ac90c6967203"),
+]
+
+
+@pytest.mark.parametrize("service,seed,text,popularity,complexity,size,"
+                         "digest", _PINNED_PAGES)
+def test_rendered_pages_are_pinned(service, seed, text, popularity,
+                                   complexity, size, digest):
+    generator = PageGenerator(service, PageProfile(), seed=seed)
+    keyword = kw(text, popularity=popularity, complexity=complexity)
+    for _ in range(2):  # the render, then the memo hit
+        page = generator.full_page(keyword)
+        assert len(page) == size
+        assert hashlib.sha256(page).hexdigest() == digest

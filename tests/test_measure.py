@@ -3,6 +3,7 @@
 import pytest
 
 from repro.content.keywords import Keyword, KeywordCatalog
+from repro.experiments.common import calibrate_frontends_used
 from repro.measure.driver import (
     run_dataset_a,
     run_dataset_b,
@@ -82,6 +83,24 @@ def test_dataset_a_runs_all_nodes_and_services(scenario):
     vp0 = scenario.vantage_points[0].name
     assert len(dataset.for_vp(vp0)) == 4
     assert len(dataset.for_vp(vp0, Scenario.BING)) == 2
+
+
+def test_calibration_keeps_campaign_fetch_records(scenario):
+    """A calibration run after a campaign, from the campaign's first
+    vantage point, must not replace the campaign's ground truth."""
+    keywords = KeywordCatalog(seed=1).figure3_set()
+    dataset = run_dataset_a(scenario, keywords, repeats=2, interval=2.0)
+    truth = {name: scenario.service(name).merged_fetch_log()
+             for name in scenario.services}
+    for name in scenario.services:
+        calibrate_frontends_used(scenario, name, dataset.for_service(name))
+    for name in scenario.services:
+        after = scenario.service(name).merged_fetch_log()
+        campaign = [s.query_id for s in dataset.for_service(name)]
+        assert campaign and all(query_id in truth[name]
+                                for query_id in campaign)
+        assert all(after[query_id] is truth[name][query_id]
+                   for query_id in campaign)
 
 
 def test_dataset_b_fixed_fe(scenario):

@@ -1,12 +1,14 @@
 """Coverage for small helpers: words, capture, sessions, timeline spans."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.content import words
 from repro.content.keywords import KeywordCatalog
 from repro.measure.capture import PacketCapture, PacketEvent
 from repro.measure.session import QuerySession
 from repro.content.keywords import Keyword
+from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.topology import Topology
 from repro.sim import units
@@ -111,6 +113,66 @@ def test_capture_flow_filter_window():
     assert len(capture.flow_events(1111)) == 1
     assert len(capture.flow_events(2222, start=1.5)) == 1
     assert capture.flow_events(2222, start=0.0, end=1.5) == []
+
+
+#: The capture's per-port index against the linear scan it replaced.
+_PORTS = (1111, 2222, 3333)
+_times = st.floats(0.0, 3.0, allow_nan=False)
+_observe_step = st.tuples(st.just("observe"), st.sampled_from(("send",
+                                                               "recv")),
+                          st.sampled_from(_PORTS), _times)
+_inject_step = st.tuples(st.just("inject"), st.lists(
+    st.tuples(st.sampled_from(("out", "in")), st.sampled_from(_PORTS),
+              _times), max_size=4))
+_drop_step = st.tuples(st.just("drop"), _times)
+_clear_step = st.tuples(st.just("clear"))
+
+
+def _linear_scan(capture, port, start, end):
+    return [e for e in capture.events
+            if e.local_port == port and start <= e.time < end]
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.one_of(_observe_step, _observe_step, _inject_step,
+                                _drop_step, _clear_step), max_size=25),
+       windows=st.lists(st.tuples(_times, _times), min_size=1, max_size=3))
+def test_flow_events_index_matches_linear_scan(steps, windows):
+    sim = Simulator()
+    node = Node(sim, "a")
+    capture = PacketCapture(sim, node)
+    for step in steps:
+        kind = step[0]
+        if kind == "observe":
+            _, event, port, delay = step
+            # The far end's port is another watched port, so a packet
+            # is indexed under its local port only.
+            other = _PORTS[(_PORTS.index(port) + 1) % len(_PORTS)]
+            sport, dport = (port, other) if event == "send" \
+                else (other, port)
+            sim.schedule(delay, node._notify, event,
+                         make_tcp_packet(sport=sport, dport=dport))
+            sim.run()
+        elif kind == "inject":
+            capture.inject([PacketEvent(
+                time=time, direction=direction, src="a", dst="b",
+                sport=port if direction == "out" else 80,
+                dport=80 if direction == "out" else port,
+                wire_size=40, payload_len=0, seq=0, ack=0, syn=False,
+                fin=False, ack_flag=True, retransmit=False)
+                for direction, port, time in step[1]])
+        elif kind == "drop":
+            capture.drop_before(sim.now + step[1] - 1.5)
+        else:
+            capture.clear()
+        for port in _PORTS:
+            assert capture.flow_events(port) == \
+                _linear_scan(capture, port, 0.0, float("inf"))
+            for back, width in windows:
+                start = sim.now - back
+                end = start + width
+                assert capture.flow_events(port, start, end) == \
+                    _linear_scan(capture, port, start, end)
 
 
 # ---------------------------------------------------------------------------
